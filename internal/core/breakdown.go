@@ -33,45 +33,18 @@ type EpochBreakdown struct {
 // without materialising per-epoch entries: the summed pipeline, memory,
 // burst and idle components and the total prediction over the epoch
 // slice. It always uses per-epoch critical-thread prediction (o.PerEpochCTP
-// is forced), which needs no across-epoch delta state — the function is
-// allocation-free, so the sampling detector can fingerprint every quantum
-// from it on the per-quantum hot path.
+// is forced). It is allocation-free, so the sampling detector can
+// fingerprint every quantum from it on the per-quantum hot path.
 func SumBreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) (pipeline, memory, burst, idle, pred units.Time) {
 	o.PerEpochCTP = true
-	for i := range epochs {
-		ep := &epochs[i]
-		if len(ep.Slices) == 0 {
-			d := ep.Duration()
-			idle += d
-			pred += d
-			continue
-		}
-		var iPrime units.Time
-		var crit kernel.ThreadSlice
-		first := true
-		for _, sl := range ep.Slices {
-			e := predictThread(sl.Delta.Active, sl.Delta, o, base, target)
-			if first || e > iPrime {
-				iPrime = e
-				crit = sl
-				first = false
-			}
-		}
-		if iPrime < 0 {
-			iPrime = 0
-		}
-		ns := nonScaling(crit.Delta, crit.Delta.Active, o)
-		m := ns
-		if o.Burst {
-			m = nonScaling(crit.Delta, crit.Delta.Active, Options{Engine: o.Engine})
-			burst += ns - m
-		}
+	walkEpochs(epochs, base, target, o, func(_ *kernel.Epoch, crit *kernel.ThreadSlice, p units.Time) {
+		pl, m, b, i := attribute(crit, p, base, target, o)
+		pipeline += pl
 		memory += m
-		p := scaleTime(crit.Delta.Active-ns, base, target)
-		pipeline += p
-		pred += iPrime
-		idle += iPrime - (p + m + (ns - m))
-	}
+		burst += b
+		idle += i
+		pred += p
+	})
 	return pipeline, memory, burst, idle, pred
 }
 
@@ -80,66 +53,32 @@ func SumBreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Option
 // the returned Pred fields equals PredictEpochs on the same inputs.
 func BreakdownEpochs(epochs []kernel.Epoch, base, target units.Freq, o Options) []EpochBreakdown {
 	out := make([]EpochBreakdown, 0, len(epochs))
-	delta := make(map[kernel.ThreadID]units.Time)
-	for i := range epochs {
-		ep := &epochs[i]
-		b := EpochBreakdown{Start: ep.Start, Dur: ep.Duration()}
-		for _, sl := range ep.Slices {
-			b.Instrs += sl.Delta.Instrs
+	walkEpochs(epochs, base, target, o, func(ep *kernel.Epoch, crit *kernel.ThreadSlice, pred units.Time) {
+		b := EpochBreakdown{Start: ep.Start, Dur: ep.Duration(), Pred: pred}
+		for j := range ep.Slices {
+			b.Instrs += ep.Slices[j].Delta.Instrs
 		}
-		if len(ep.Slices) == 0 {
-			// Idle epoch: scheduler/timer time that does not scale.
-			b.Pred = ep.Duration()
-			b.Idle = b.Pred
-			out = append(out, b)
-			continue
-		}
-
-		// Critical-thread selection mirrors predictPerEpoch /
-		// predictAcrossEpochs: the largest (slack-adjusted) estimate wins.
-		var iPrime units.Time
-		var crit kernel.ThreadSlice
-		first := true
-		for _, sl := range ep.Slices {
-			a := predictThread(sl.Delta.Active, sl.Delta, o, base, target)
-			e := a
-			if !o.PerEpochCTP {
-				e -= delta[sl.TID]
-			}
-			if first || e > iPrime {
-				iPrime = e
-				crit = sl
-				first = false
-			}
-		}
-		if iPrime < 0 {
-			iPrime = 0
-		}
-
-		// Attribute the critical thread's two-component split, then let
-		// Idle carry whatever slack adjustment moved Pred off the raw
-		// estimate so the components always sum to Pred.
-		ns := nonScaling(crit.Delta, crit.Delta.Active, o)
-		mem := ns
-		if o.Burst {
-			mem = nonScaling(crit.Delta, crit.Delta.Active, Options{Engine: o.Engine})
-			b.Burst = ns - mem
-		}
-		b.Memory = mem
-		b.Pipeline = scaleTime(crit.Delta.Active-ns, base, target)
-		b.Pred = iPrime
-		b.Idle = iPrime - (b.Pipeline + b.Memory + b.Burst)
+		b.Pipeline, b.Memory, b.Burst, b.Idle = attribute(crit, pred, base, target, o)
 		out = append(out, b)
-
-		if !o.PerEpochCTP {
-			for _, sl := range ep.Slices {
-				a := predictThread(sl.Delta.Active, sl.Delta, o, base, target)
-				delta[sl.TID] += iPrime - a
-			}
-			if ep.StallTID != kernel.NoThread {
-				delta[ep.StallTID] = 0
-			}
-		}
-	}
+	})
 	return out
+}
+
+// attribute splits an epoch's prediction pred into its critical slice's
+// two-component law, with the +BURST addend apart, and lets idle carry
+// whatever slack adjustment moved pred off the raw estimate, so the four
+// always sum to pred. An idle epoch (crit nil) is idle throughout.
+func attribute(crit *kernel.ThreadSlice, pred units.Time, base, target units.Freq, o Options) (pipeline, memory, burst, idle units.Time) {
+	if crit == nil {
+		return 0, 0, 0, pred
+	}
+	c := &crit.Delta
+	ns := nonScaling(c, c.Active, o)
+	memory = ns
+	if o.Burst {
+		memory = nonScaling(c, c.Active, Options{Engine: o.Engine})
+		burst = ns - memory
+	}
+	pipeline = scaleTime(c.Active-ns, base, target)
+	return pipeline, memory, burst, pred - (pipeline + memory + burst)
 }

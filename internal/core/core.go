@@ -114,7 +114,7 @@ func scaleTime(d units.Time, base, target units.Freq) units.Time {
 
 // nonScaling extracts the engine's non-scaling estimate from counters,
 // optionally adding the BURST store-queue-full time, clamped to [0, active].
-func nonScaling(c cpu.Counters, active units.Time, o Options) units.Time {
+func nonScaling(c *cpu.Counters, active units.Time, o Options) units.Time {
 	var ns units.Time
 	switch o.Engine {
 	case CRIT:
@@ -140,7 +140,7 @@ func nonScaling(c cpu.Counters, active units.Time, o Options) units.Time {
 
 // predictThread applies the two-component DVFS law to one thread's
 // observed duration: T' = (T - N)·base/target + N.
-func predictThread(active units.Time, c cpu.Counters, o Options, base, target units.Freq) units.Time {
+func predictThread(active units.Time, c *cpu.Counters, o Options, base, target units.Freq) units.Time {
 	ns := nonScaling(c, active, o)
 	return scaleTime(active-ns, base, target) + ns
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"depburst/internal/kernel"
 	"depburst/internal/units"
 )
@@ -27,12 +29,13 @@ func (m *MCrit) Name() string { return "M+CRIT" + m.Opts.suffix() }
 // Predict implements Model.
 func (m *MCrit) Predict(obs *Observation, target units.Freq) units.Time {
 	var worst units.Time
-	for _, t := range obs.Threads {
+	for i := range obs.Threads {
+		t := &obs.Threads[i]
 		wall := t.End - t.Start
 		if wall <= 0 {
 			continue
 		}
-		p := predictThread(wall, t.C, m.Opts, obs.Base, target)
+		p := predictThread(wall, &t.C, m.Opts, obs.Base, target)
 		if p > worst {
 			worst = p
 		}
@@ -84,20 +87,22 @@ func (c *COOP) Predict(obs *Observation, target units.Freq) units.Time {
 	// Attribute each epoch's per-thread work to the phase containing its
 	// midpoint (a real deployment reads counters exactly at the signals;
 	// the epoch stream gives us the same totals).
-	for _, ep := range obs.Epochs {
+	for i := range obs.Epochs {
+		ep := &obs.Epochs[i]
 		mid := ep.Start + (ep.End-ep.Start)/2
 		pi := findPhase(cuts, mid)
 		if pi < 0 {
 			continue
 		}
-		for _, sl := range ep.Slices {
+		for j := range ep.Slices {
+			sl := &ep.Slices[j]
 			agg := phases[pi].perThread[int(sl.TID)]
 			if agg == nil {
 				agg = &threadAgg{}
 				phases[pi].perThread[int(sl.TID)] = agg
 			}
 			agg.active += sl.Delta.Active
-			agg.ns += nonScaling(sl.Delta, sl.Delta.Active, c.Opts)
+			agg.ns += nonScaling(&sl.Delta, sl.Delta.Active, c.Opts)
 		}
 	}
 
@@ -165,15 +170,17 @@ func phaseCuts(obs *Observation) (cuts []units.Time, collector []bool) {
 	return cuts, collector
 }
 
-// findPhase locates the phase containing t; cuts are sorted.
+// findPhase locates the phase containing t, as cut by phaseCuts: every cut
+// but the last is strictly increasing, and the last (the run's total) is
+// only guaranteed to exceed them when GC marks were cut. Times at or past
+// the last cut belong to the final phase; times before the first to none.
 func findPhase(cuts []units.Time, t units.Time) int {
-	for i := 0; i+1 < len(cuts); i++ {
-		if t >= cuts[i] && t < cuts[i+1] {
-			return i
-		}
+	n := len(cuts)
+	if n < 2 {
+		return -1
 	}
-	if len(cuts) >= 2 && t >= cuts[len(cuts)-1] {
-		return len(cuts) - 2
+	if t >= cuts[n-1] {
+		return n - 2
 	}
-	return -1
+	return sort.Search(n-1, func(i int) bool { return cuts[i] > t }) - 1
 }

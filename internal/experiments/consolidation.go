@@ -14,7 +14,7 @@ import (
 // coRunTruth runs a consolidated pair at frequency f (memoised and
 // singleflight-deduplicated like Truth).
 func (r *Runner) coRunTruth(a, b dacapo.Spec, f units.Freq) *sim.Result {
-	e := r.truthEntryFor(truthKey{bench: "corun/" + a.Name + "+" + b.Name, freq: f})
+	e := r.truthEntryFor(truthKey{spec: a, pair: b, freq: f})
 	res, _, err := e.do(r.context(), func(ctx context.Context) (*sim.Result, any, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -47,7 +47,7 @@ func (r *Runner) coRunTruth(a, b dacapo.Spec, f units.Freq) *sim.Result {
 // coRunManaged runs the consolidated pair under the chip-wide energy
 // manager (memoised).
 func (r *Runner) coRunManaged(a, b dacapo.Spec, threshold float64) *sim.Result {
-	res, _ := r.runDo(runKey{kind: runCoRunChip, bench: a.Name + "+" + b.Name, threshold: threshold, holdOff: 1},
+	res, _ := r.runDo(runKey{kind: runCoRunChip, spec: a, pair: b, threshold: threshold, holdOff: 1},
 		func(ctx context.Context) (*sim.Result, any, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err

@@ -22,7 +22,7 @@ func (r *Runner) ManagedRun(spec dacapo.Spec, threshold float64) (*sim.Result, *
 }
 
 func (r *Runner) managedRunHold(spec dacapo.Spec, threshold float64, holdOff int) (*sim.Result, *energy.Manager) {
-	res, mgrAny := r.runDo(runKey{kind: runChip, bench: spec.Name, threshold: threshold, holdOff: holdOff},
+	res, mgrAny := r.runDo(runKey{kind: runChip, spec: spec, threshold: threshold, holdOff: holdOff},
 		func(ctx context.Context) (*sim.Result, any, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
@@ -54,7 +54,7 @@ func (r *Runner) managedRunHold(spec dacapo.Spec, threshold float64, holdOff int
 }
 
 func (r *Runner) managedRunQuantum(spec dacapo.Spec, threshold float64, quantum units.Time) (*sim.Result, *energy.Manager) {
-	res, mgrAny := r.runDo(runKey{kind: runChip, bench: spec.Name, threshold: threshold, holdOff: 1, quantum: quantum},
+	res, mgrAny := r.runDo(runKey{kind: runChip, spec: spec, threshold: threshold, holdOff: 1, quantum: quantum},
 		func(ctx context.Context) (*sim.Result, any, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
@@ -135,7 +135,7 @@ func (r *Runner) Fig6() *report.Table {
 // PerCoreRun executes spec under the per-core DVFS manager (memoised).
 // The manager is nil when the result came from the persistent disk cache.
 func (r *Runner) PerCoreRun(spec dacapo.Spec, threshold float64) (*sim.Result, *energy.PerCoreManager) {
-	res, mgrAny := r.runDo(runKey{kind: runPerCore, bench: spec.Name, threshold: threshold},
+	res, mgrAny := r.runDo(runKey{kind: runPerCore, spec: spec, threshold: threshold},
 		func(ctx context.Context) (*sim.Result, any, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err

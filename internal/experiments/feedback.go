@@ -13,7 +13,7 @@ import (
 // (memoised). The manager is nil when the result came from the persistent
 // disk cache.
 func (r *Runner) FeedbackRun(spec dacapo.Spec, threshold float64) (*sim.Result, *energy.FeedbackManager) {
-	res, mgrAny := r.runDo(runKey{kind: runFeedback, bench: spec.Name, threshold: threshold},
+	res, mgrAny := r.runDo(runKey{kind: runFeedback, spec: spec, threshold: threshold},
 		func(ctx context.Context) (*sim.Result, any, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err

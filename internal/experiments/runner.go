@@ -218,9 +218,12 @@ func (r *Runner) putTruthMeta(key string, ok bool, cfg sim.Config, spec dacapo.S
 	_ = r.disk.PutMeta(key, surrogate.NewTruthManifest(cfg, spec))
 }
 
+// truthKey identifies a memoised truth run by its content, not its name:
+// two specs that share a name but differ in any field are different runs.
 type truthKey struct {
-	bench string
-	freq  units.Freq
+	spec, pair dacapo.Spec // pair is a consolidated run's second tenant
+	seq        string      // a sequential workload's name (specs unset)
+	freq       units.Freq
 }
 
 // runKind distinguishes the governed (energy-managed) run families, which
@@ -235,11 +238,11 @@ const (
 )
 
 type runKey struct {
-	kind      runKind
-	bench     string
-	threshold float64
-	holdOff   int
-	quantum   units.Time
+	kind       runKind
+	spec, pair dacapo.Spec // pair is a consolidated run's second tenant
+	threshold  float64
+	holdOff    int
+	quantum    units.Time
 }
 
 // entry is one singleflight memo slot. Unlike a sync.Once slot it is
@@ -460,7 +463,7 @@ func (r *Runner) Truth(spec dacapo.Spec, f units.Freq) *sim.Result {
 // aborts, if this caller was the flight leader) is retried by the next
 // caller.
 func (r *Runner) TruthCtx(ctx context.Context, spec dacapo.Spec, f units.Freq) (*sim.Result, error) {
-	e := r.truthEntryFor(truthKey{bench: spec.Name, freq: f})
+	e := r.truthEntryFor(truthKey{spec: spec, freq: f})
 	res, _, err := e.do(ctx, func(ctx context.Context) (*sim.Result, any, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err

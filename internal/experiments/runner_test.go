@@ -27,6 +27,25 @@ func TestTruthMemoised(t *testing.T) {
 	}
 }
 
+// TestTruthKeyedByContent is the memo's content-variation wall: two specs
+// that share a name but not their work must not share a truth. Each answer
+// on one Runner must equal a fresh Runner's answer for that spec alone.
+func TestTruthKeyedByContent(t *testing.T) {
+	small := dacapo.Sunflow().Scaled(0.05)
+	big := small
+	big.ItemInstrs *= 3
+	shared := NewRunner()
+	for _, spec := range []dacapo.Spec{small, big} {
+		got := shared.Truth(spec, 2000).Time
+		if want := NewRunner().Truth(spec, 2000).Time; got != want {
+			t.Errorf("%s with ItemInstrs %d: shared Runner %v, fresh Runner %v", spec.Name, spec.ItemInstrs, got, want)
+		}
+	}
+	if n := shared.Simulations(); n != 2 {
+		t.Errorf("shared Runner ran %d simulations, want 2", n)
+	}
+}
+
 func TestObserveMapping(t *testing.T) {
 	r := NewRunner()
 	spec, _ := dacapo.ByName("pmd.scale")

@@ -110,7 +110,7 @@ func (r *Runner) SequentialBackground() *report.Table {
 // seqTruth runs a sequential workload at f (memoised and deduplicated
 // alongside benchmark runs).
 func (r *Runner) seqTruth(w seqWorkload, f units.Freq) *sim.Result {
-	e := r.truthEntryFor(truthKey{bench: "seq/" + w.name, freq: f})
+	e := r.truthEntryFor(truthKey{seq: w.name, freq: f})
 	res, _, err := e.do(r.context(), func(ctx context.Context) (*sim.Result, any, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err

@@ -82,17 +82,38 @@ func (s *Source) Exp(mean float64) float64 {
 
 // Geometric returns a geometrically distributed count >= 1 with the given
 // mean (mean must be >= 1). It is the number of Bernoulli trials up to and
-// including the first success with p = 1/mean.
+// including the first success with p = 1/mean. A caller drawing many
+// counts with one mean should build a Geometric once instead.
 func (s *Source) Geometric(mean float64) int64 {
+	return NewGeometric(mean).Draw(s)
+}
+
+// Geometric is the geometric distribution of counts >= 1 with a fixed
+// mean. It holds log(1-p), so a draw costs one logarithm, not two.
+type Geometric struct {
+	one  bool    // mean <= 1: every draw is 1 and consumes no randomness
+	logq float64 // log(1-p), p = 1/mean
+}
+
+// NewGeometric returns the geometric distribution with the given mean.
+func NewGeometric(mean float64) Geometric {
 	if mean <= 1 {
-		return 1
+		return Geometric{one: true}
 	}
 	p := 1 / mean
+	return Geometric{logq: math.Log(1 - p)}
+}
+
+// Draw returns the next count from s, bit-identical to s.Geometric(mean).
+func (g Geometric) Draw(s *Source) int64 {
+	if g.one {
+		return 1
+	}
 	u := s.Float64()
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	n := int64(math.Log(1-u)/math.Log(1-p)) + 1
+	n := int64(math.Log(1-u)/g.logq) + 1
 	if n < 1 {
 		n = 1
 	}

@@ -143,6 +143,48 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
+// geometricFormula is Source.Geometric as it was before the distribution
+// precomputed its logarithm: the reference Draw must match bit for bit.
+func geometricFormula(s *Source, mean float64) int64 {
+	if mean <= 1 {
+		return 1
+	}
+	p := 1 / mean
+	u := s.Float64()
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	n := int64(math.Log(1-u)/math.Log(1-p)) + 1
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+func TestGeometricDrawMatchesFormula(t *testing.T) {
+	means := []float64{-3, 0, 0.5, 1, math.Nextafter(1, 2), 1.5, 2, 3.7, 25, 1000 / 7.0, 1e3, 1e6, 1e12}
+	for seed := uint64(0); seed < 50; seed++ {
+		for _, mean := range means {
+			g := NewGeometric(mean)
+			a, b, c := New(seed), New(seed), New(seed)
+			for i := 0; i < 200; i++ {
+				want := geometricFormula(a, mean)
+				if got := g.Draw(b); got != want {
+					t.Fatalf("seed %d mean %v draw %d: Draw = %d, formula %d", seed, mean, i, got, want)
+				}
+				if got := c.Geometric(mean); got != want {
+					t.Fatalf("seed %d mean %v draw %d: Geometric = %d, formula %d", seed, mean, i, got, want)
+				}
+			}
+			// Equal draws must leave the three streams in step, so a
+			// degenerate mean consumes nothing either way.
+			if x := a.Uint64(); b.Uint64() != x || c.Uint64() != x {
+				t.Fatalf("seed %d mean %v: streams diverged", seed, mean)
+			}
+		}
+	}
+}
+
 func TestNorm(t *testing.T) {
 	s := New(17)
 	var sum, sq float64
